@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test build-ext bench bench-smoke bench-sweep report examples sweep-smoke faults-smoke soak-smoke constellation-smoke transport-smoke transport-soak-smoke channels-smoke clean
+.PHONY: install test bench bench-sweep report examples sweep-smoke faults-smoke soak-smoke constellation-smoke transport-smoke transport-soak-smoke channels-smoke clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -10,26 +10,8 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-# Build the optional compiled engine core in place (docs/TUNING.md
-# "Compiled core").  Everything works without it; REPRO_ENGINE=compiled
-# just warns and falls back to the pure loop until this has run.
-build-ext:
-	$(PYTHON) setup.py build_ext --inplace
-
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
-
-# Fast (<60s) hot-path regression check: the E22 micro/meso benchmarks
-# plus a fresh BENCH_hotpath.json perf baseline (see docs/TUNING.md).
-# The trailing compare diffs the new history record against the
-# previous one — informational only (the leading '-' keeps a >=10%
-# swing from failing the target; use `bench-baseline --compare
-# --strict` in CI when a hard gate is wanted).
-bench-smoke:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_e22_hotpath.py -q -s
-	PYTHONPATH=src $(PYTHON) -m repro bench-baseline --repeats 2 \
-		--duration 1.0 --micro-events 100000
-	-PYTHONPATH=src $(PYTHON) -m repro bench-baseline --compare
 
 # Sweep-scaling smoke: the E23 benchmarks run a tiny replicated sweep
 # serially and over a warm jobs=2 pool and assert the parallel and
@@ -127,5 +109,5 @@ examples:
 
 clean:
 	rm -rf build dist src/repro.egg-info .pytest_cache .sweep-cache
-	rm -f .channels-smoke-trace.jsonl src/repro/simulator/_speedups*.so
+	rm -f .channels-smoke-trace.jsonl
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +

@@ -1,6 +1,6 @@
 """E23 — sweep-scaling performance (the Monte-Carlo replication plane).
 
-Like E22 this regenerates no paper figure: it benchmarks the machinery
+This regenerates no paper figure: it benchmarks the machinery
 every replicated experiment rides — :func:`repro.experiments.parallel
 .run_sweep` over a persistent warm :class:`~repro.experiments.parallel
 .SweepPool`, the sharded :class:`~repro.experiments.parallel
@@ -12,9 +12,9 @@ every replicated experiment rides — :func:`repro.experiments.parallel
 - **Free re-runs**: a fully cache-hot sweep executes zero simulations
   and answers from one shard-index read.
 - **Sanity floors**: points/sec is orders of magnitude above
-  catastrophic-regression territory.  The real ≥2x gate is comparing
-  ``BENCH_hotpath.json`` ``sweep_scale`` sections from the same
-  machine (``python -m repro bench-baseline`` / ``make bench-sweep``).
+  catastrophic-regression territory.  Real speed comparisons come from
+  running :func:`repro.benchmark.bench_sweep_scale` for two commits
+  interleaved on the same machine.
 
 Print the measured tables with ``pytest -s``.
 """

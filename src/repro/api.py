@@ -25,9 +25,6 @@ For the common "one scenario, one protocol, one-way transfer" case,
 :func:`build_simulation` goes one level higher and returns a
 ready-to-run :class:`~repro.workloads.scenarios.SimulationSetup`.
 
-The per-protocol factories (``lams_dlc_pair``, ``hdlc_pair``,
-``nbdt_pair``) remain available as thin shims over the same registry.
-
 Construction is spec-based as of the topology layer: a
 :class:`~repro.topology.spec.LinkSpec` bundles everything a link needs
 (scenario, protocol config, per-side wiring, error models, fault plan,

@@ -1,170 +1,21 @@
-"""Hot-path performance baseline: measure, record, compare.
+"""Sweep-scaling benchmark: the Monte-Carlo replication plane.
 
-The simulator's per-event dispatch cost bounds every experiment's wall
-time, so this module gives it a first-class measurement harness with
-two levels:
-
-- **Micro** (:func:`bench_engine_dispatch`): pure engine dispatch —
-  pre-schedule batches of no-op callbacks and time ``Simulator.run``
-  draining them.  Batch timings yield p50/p95 per-event cost, isolating
-  the heap + dispatch loop from protocol work.
-- **Meso** (:func:`bench_saturated`): the E6 saturated-throughput
-  workload (the hottest real configuration: a source that never runs
-  dry over a nominal link), reporting simulator events/sec and link
-  frames/sec end to end.
-- **Macro** (:func:`bench_sweep_scale`): the replication *plane* — a
-  replicated sweep through :func:`repro.experiments.parallel.run_sweep`
-  measured in points/sec, serial vs. a warm 2- and 4-worker pool, plus
-  the latency of a fully cache-hot re-run.  This is the regime the
-  paper's Monte-Carlo evaluation actually lives in.
-- **Constellation** (:func:`bench_constellation_scale`): M concurrent
-  LAMS-DLC links in one engine via the topology layer — events/sec and
-  peak per-link buffered state at 10/100/1000 links, tracking how far
-  a single :class:`~repro.simulator.engine.Simulator` scales.
-
-:func:`run_hotpath_bench` bundles all of it into one JSON-able payload
-and :func:`write_baseline` lands it in ``BENCH_hotpath.json`` — the
-perf-regression baseline the CLI (``python -m repro bench-baseline``)
-and ``make bench-smoke`` refresh — stamped with the git commit,
-hostname, and CPU count, and appends a compact record to
-``BENCH_history.jsonl`` so the performance *trajectory* across commits
-is kept, not just the latest snapshot.  Comparing records from the
-same machine exposes regressions without the noise of cross-machine
-numbers.
+:func:`bench_sweep_scale` times a replicated sweep through
+:func:`repro.experiments.parallel.run_sweep` in points/sec, serial vs.
+a warm worker pool, plus the latency of a fully cache-hot re-run.  This
+is the regime the paper's Monte-Carlo evaluation lives in, and the one
+part of the program the ``perfbench/`` ledger does not measure (the
+ledger times single runs end to end and layer by layer; see
+``perfbench/README.md``).
 """
 
 from __future__ import annotations
 
-import json
 import os
-import platform
-import socket
-import statistics
-import subprocess
 import time
-from typing import Any, Optional
+from typing import Any
 
-from .core.config import _default_batch_window
-from .simulator.engine import Simulator, engine_backend
-
-__all__ = [
-    "DEFAULT_HISTORY",
-    "DEFAULT_OUTPUT",
-    "append_history",
-    "bench_constellation_scale",
-    "bench_engine_dispatch",
-    "bench_saturated",
-    "bench_sweep_scale",
-    "compare_last_two",
-    "machine_stamp",
-    "profile_hotpath_bench",
-    "read_history",
-    "run_hotpath_bench",
-    "write_baseline",
-]
-
-DEFAULT_OUTPUT = "BENCH_hotpath.json"
-DEFAULT_HISTORY = "BENCH_history.jsonl"
-
-
-def _noop() -> None:
-    pass
-
-
-def bench_engine_dispatch(
-    total_events: int = 200_000, batch: int = 10_000
-) -> dict[str, Any]:
-    """Micro-benchmark the engine's event dispatch loop.
-
-    Schedules *batch* no-op callbacks at distinct times (untimed), then
-    times ``run()`` draining them; repeats until *total_events* have
-    been dispatched.  Per-batch timings give p50/p95 per-event cost, so
-    one slow batch (GC pause, scheduler hiccup) shows up in the tail
-    instead of polluting the headline number.
-    """
-    if batch <= 0 or total_events <= 0:
-        raise ValueError("batch and total_events must be positive")
-    rounds = max(1, total_events // batch)
-    per_event_costs: list[float] = []
-    dispatched = 0
-    wall = 0.0
-    for round_index in range(rounds):
-        sim = Simulator()
-        schedule = sim.schedule
-        for index in range(batch):
-            schedule(index * 1e-9, _noop)
-        start = time.perf_counter()
-        sim.run()
-        elapsed = time.perf_counter() - start
-        wall += elapsed
-        dispatched += sim.event_count
-        per_event_costs.append(elapsed / batch)
-    per_event_costs.sort()
-    p50 = statistics.median(per_event_costs)
-    p95 = per_event_costs[min(len(per_event_costs) - 1,
-                              int(0.95 * len(per_event_costs)))]
-    return {
-        "kind": "engine_dispatch",
-        "engine": engine_backend(),
-        "events": dispatched,
-        "batch": batch,
-        "rounds": rounds,
-        "wall_seconds": wall,
-        "events_per_sec": dispatched / wall if wall > 0 else float("inf"),
-        "per_event_p50_us": p50 * 1e6,
-        "per_event_p95_us": p95 * 1e6,
-    }
-
-
-def bench_saturated(
-    scenario: str = "nominal",
-    protocol: str = "lams",
-    duration: float = 2.0,
-    seed: int = 1,
-) -> dict[str, Any]:
-    """Meso-benchmark: the E6 saturated-throughput workload.
-
-    Mirrors :func:`repro.experiments.runner.measure_saturated`'s setup
-    (saturated source, one-way transfer) but keeps hold of the
-    simulator so the result reports events/sec and frames/sec — the
-    quantities the hot-path work optimises — alongside the delivered
-    count that proves the run did real protocol work.
-    """
-    # Imported here so the micro bench stays importable even if the
-    # workload stack is mid-refactor.
-    from .workloads.generators import SaturatedSource
-    from .workloads.scenarios import build_simulation, preset
-
-    link_scenario = preset(scenario)
-    setup = build_simulation(link_scenario, protocol, seed=seed)
-    sender = setup.endpoint_a.sender
-    source = SaturatedSource(
-        setup.sim, setup.endpoint_a,
-        backlog_fn=lambda: sender.pending_count,
-        low_water=256, chunk=512,
-        poll_interval=link_scenario.iframe_time * 64,
-    )
-    source.start()
-    start = time.perf_counter()
-    setup.sim.run(until=duration)
-    wall = time.perf_counter() - start
-    events = setup.sim.event_count
-    frames = setup.link.forward.frames_sent + setup.link.reverse.frames_sent
-    return {
-        "kind": "saturated_throughput",
-        "engine": engine_backend(),
-        "batch_window": _default_batch_window(),
-        "scenario": scenario,
-        "protocol": protocol,
-        "sim_duration": duration,
-        "seed": seed,
-        "wall_seconds": wall,
-        "events": events,
-        "events_per_sec": events / wall if wall > 0 else float("inf"),
-        "frames": frames,
-        "frames_per_sec": frames / wall if wall > 0 else float("inf"),
-        "delivered": len(setup.delivered),
-    }
+__all__ = ["bench_sweep_scale"]
 
 
 def bench_sweep_scale(
@@ -273,373 +124,3 @@ def bench_sweep_scale(
     finally:
         shutil.rmtree(tmpdir, ignore_errors=True)
     return result
-
-
-def bench_constellation_scale(
-    link_counts: tuple[int, ...] = (10, 100, 1000),
-    duration: float = 0.2,
-    flow_count: int = 8,
-    messages: int = 20,
-    seed: int = 0,
-) -> dict[str, Any]:
-    """Constellation-benchmark: M concurrent LAMS-DLC links in one engine.
-
-    For each entry in *link_counts*, builds a ring topology of that many
-    links (one node per link) through
-    :class:`~repro.topology.builder.ConstellationBuilder`, drives
-    *flow_count* cross-traffic flows, and reports build time, run-phase
-    events/sec, and the peak per-link state (buffered payloads across
-    sender windows and resequencing queues) plus peak event-heap size —
-    the numbers that bound how far one engine scales before per-link
-    state or the shared heap becomes the limit.
-    """
-    from .topology import FlowSpec, build_constellation, ring_topology
-
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    scales: list[dict[str, Any]] = []
-    for links in link_counts:
-        if links < 3:
-            raise ValueError("ring topologies need at least 3 links")
-        topo = ring_topology(links, name=f"bench-ring-{links}")
-        names = topo.node_names()
-        # Short fixed stride: flows stay a 2-hop relay regardless of
-        # ring size, so every scale completes deliveries within the
-        # horizon and the numbers compare like for like.
-        stride = 2
-        flows = [
-            FlowSpec(
-                source=names[(i * max(1, links // max(1, flow_count))) % links],
-                destination=names[(i * max(1, links // max(1, flow_count))
-                                   + stride) % links],
-                messages=messages,
-                interval=duration / max(1, 2 * messages),
-                poisson=True,
-            )
-            for i in range(flow_count)
-        ]
-        build_start = time.perf_counter()
-        constellation = build_constellation(
-            topo, master_seed=seed, flows=flows, horizon=duration,
-            probe_interval=duration / 20.0,
-        )
-        build_wall = time.perf_counter() - build_start
-        run_start = time.perf_counter()
-        constellation.run(until=duration)
-        run_wall = time.perf_counter() - run_start
-        rollup = constellation.network_rollup()
-        scales.append({
-            "links": links,
-            "flows": flow_count,
-            "sim_duration": duration,
-            "build_wall_seconds": build_wall,
-            "run_wall_seconds": run_wall,
-            "events": rollup["events"],
-            "events_per_sec": (rollup["events"] / run_wall
-                               if run_wall > 0 else float("inf")),
-            "datagrams_delivered": rollup["datagrams_delivered"],
-            "peak_heap": rollup["peak_heap"],
-            "peak_buffered_per_link": rollup["peak_buffered_max"],
-        })
-    return {
-        "kind": "constellation_scale",
-        "seed": seed,
-        "scales": scales,
-    }
-
-
-def _git_commit() -> Optional[str]:
-    """The current git HEAD, or None outside a repository."""
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True, text=True, timeout=10,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
-    if proc.returncode != 0:
-        return None
-    return proc.stdout.strip() or None
-
-
-def machine_stamp() -> dict[str, Any]:
-    """Identity of the machine and code that produced a measurement."""
-    return {
-        "git_commit": _git_commit(),
-        "hostname": socket.gethostname(),
-        "cpu_count": os.cpu_count(),
-    }
-
-
-def run_hotpath_bench(
-    repeats: int = 3,
-    micro_events: int = 200_000,
-    duration: float = 2.0,
-    scenario: str = "nominal",
-    protocol: str = "lams",
-    seed: int = 1,
-    sweep_seeds: int = 16,
-    sweep_duration: float = 0.05,
-    include_sweep_scale: bool = True,
-    constellation_links: tuple[int, ...] = (10, 100, 1000),
-    constellation_duration: float = 0.2,
-    include_constellation_scale: bool = True,
-    force_parallel: bool = False,
-) -> dict[str, Any]:
-    """Run micro + meso *repeats* times (plus one sweep-scale pass);
-    report best-of plus all runs.
-
-    Best-of is the right summary for a regression baseline: interfering
-    load only ever makes a run slower, so the fastest repeat is the
-    closest estimate of the code's true cost.  The sweep-scale macro
-    runs once — it is internally replicated (many points per
-    measurement) already.
-    """
-    if repeats <= 0:
-        raise ValueError("repeats must be positive")
-    micro_runs = [
-        bench_engine_dispatch(total_events=micro_events) for _ in range(repeats)
-    ]
-    meso_runs = [
-        bench_saturated(
-            scenario=scenario, protocol=protocol, duration=duration, seed=seed
-        )
-        for _ in range(repeats)
-    ]
-    best_micro = max(micro_runs, key=lambda run: run["events_per_sec"])
-    best_meso = max(meso_runs, key=lambda run: run["events_per_sec"])
-    payload = {
-        "schema": "repro.bench_hotpath/3",
-        "generated_unix_time": time.time(),
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        # Which dispatch loop and sender batching produced these numbers
-        # — without the stamps, a backend or batch-window change reads
-        # as a mystery regression/improvement in the history.
-        "engine": engine_backend(),
-        "batch_window": _default_batch_window(),
-        "repeats": repeats,
-        "engine_dispatch": {
-            "events_per_sec": best_micro["events_per_sec"],
-            "per_event_p50_us": best_micro["per_event_p50_us"],
-            "per_event_p95_us": best_micro["per_event_p95_us"],
-            "runs": micro_runs,
-        },
-        "saturated_throughput": {
-            "events_per_sec": best_meso["events_per_sec"],
-            "frames_per_sec": best_meso["frames_per_sec"],
-            "delivered": best_meso["delivered"],
-            "runs": meso_runs,
-        },
-    }
-    payload.update(machine_stamp())
-    if include_sweep_scale:
-        payload["sweep_scale"] = bench_sweep_scale(
-            seeds=sweep_seeds, duration=sweep_duration,
-            force_parallel=force_parallel,
-        )
-    if include_constellation_scale:
-        payload["constellation_scale"] = bench_constellation_scale(
-            link_counts=constellation_links, duration=constellation_duration,
-            seed=seed,
-        )
-    return payload
-
-
-def append_history(
-    payload: dict[str, Any], path: str = DEFAULT_HISTORY
-) -> dict[str, Any]:
-    """Append one compact trajectory record for *payload* to *path*.
-
-    ``BENCH_history.jsonl`` keeps one line per baseline run — enough to
-    plot the perf trajectory across commits without hauling the full
-    per-run detail of every snapshot.
-    """
-    sweep = payload.get("sweep_scale") or {}
-    parallel = {run.get("jobs"): run for run in sweep.get("parallel", ())}
-    record = {
-        "time": payload.get("generated_unix_time"),
-        "git_commit": payload.get("git_commit"),
-        "hostname": payload.get("hostname"),
-        "cpu_count": payload.get("cpu_count"),
-        "python": payload.get("python"),
-        "engine": payload.get("engine"),
-        "batch_window": payload.get("batch_window"),
-        "engine_events_per_sec": payload.get(
-            "engine_dispatch", {}).get("events_per_sec"),
-        "saturated_events_per_sec": payload.get(
-            "saturated_throughput", {}).get("events_per_sec"),
-        "saturated_frames_per_sec": payload.get(
-            "saturated_throughput", {}).get("frames_per_sec"),
-        "sweep_points_per_sec_serial": sweep.get("serial", {}).get("points_per_sec"),
-        "sweep_points_per_sec_jobs2": parallel.get(2, {}).get("points_per_sec"),
-        "sweep_points_per_sec_jobs4": parallel.get(4, {}).get("points_per_sec"),
-        "cache_hot_points_per_sec": sweep.get("cache_hot", {}).get("points_per_sec"),
-    }
-    constellation = payload.get("constellation_scale") or {}
-    for scale in constellation.get("scales", ()):
-        links = scale.get("links")
-        record[f"constellation_events_per_sec_links{links}"] = scale.get(
-            "events_per_sec")
-        record[f"constellation_peak_buffered_links{links}"] = scale.get(
-            "peak_buffered_per_link")
-    with open(path, "a", encoding="utf-8") as handle:
-        json.dump(record, handle)
-        handle.write("\n")
-    return record
-
-
-def profile_hotpath_bench(
-    top_n: int = 25,
-    micro_events: int = 100_000,
-    duration: float = 1.0,
-    scenario: str = "nominal",
-    protocol: str = "lams",
-    seed: int = 1,
-    sweep_seeds: int = 8,
-    sweep_duration: float = 0.05,
-    include_sweep_scale: bool = True,
-    constellation_links: tuple[int, ...] = (10, 100),
-    constellation_duration: float = 0.2,
-    include_constellation_scale: bool = True,
-    **_ignored: Any,
-) -> dict[str, str]:
-    """Run each bench kind once under cProfile; return per-kind reports.
-
-    Each report is the top *top_n* functions by cumulative time —
-    "where does the wall clock actually go" per regime, which is the
-    question a regression surfaced by ``--compare`` immediately raises.
-    Profiled runs are NOT valid baselines (instrumentation overhead is
-    tens of percent), so nothing here writes ``BENCH_hotpath.json``.
-    """
-    import cProfile
-    import io
-    import pstats
-
-    kinds: list[tuple[str, Any]] = [
-        ("engine_dispatch",
-         lambda: bench_engine_dispatch(total_events=micro_events)),
-        ("saturated_throughput",
-         lambda: bench_saturated(scenario=scenario, protocol=protocol,
-                                 duration=duration, seed=seed)),
-    ]
-    if include_sweep_scale:
-        kinds.append((
-            "sweep_scale",
-            lambda: bench_sweep_scale(seeds=sweep_seeds,
-                                      duration=sweep_duration),
-        ))
-    if include_constellation_scale:
-        kinds.append((
-            "constellation_scale",
-            lambda: bench_constellation_scale(
-                link_counts=constellation_links,
-                duration=constellation_duration, seed=seed),
-        ))
-    reports: dict[str, str] = {}
-    for kind, bench in kinds:
-        profiler = cProfile.Profile()
-        profiler.enable()
-        bench()
-        profiler.disable()
-        stream = io.StringIO()
-        stats = pstats.Stats(profiler, stream=stream)
-        stats.sort_stats("cumulative").print_stats(top_n)
-        reports[kind] = stream.getvalue()
-    return reports
-
-
-def read_history(path: str = DEFAULT_HISTORY) -> list[dict[str, Any]]:
-    """All records of a ``BENCH_history.jsonl`` trajectory, oldest first."""
-    records: list[dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as error:
-                raise ValueError(
-                    f"{path}:{line_number}: corrupt history record ({error})"
-                ) from None
-    return records
-
-
-def compare_last_two(
-    path: str = DEFAULT_HISTORY, threshold: float = 0.10
-) -> dict[str, Any]:
-    """Diff the newest two history records' throughput metrics.
-
-    Compares every ``*_per_sec`` metric present in both records (all
-    are higher-is-better) and flags changes beyond *threshold* as a
-    regression or improvement.  The result carries enough context —
-    commits, engine backends, batch windows, CPU counts — to judge
-    whether a delta is a code change or an apples-to-oranges pairing
-    (different backend, different machine).
-    """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    records = read_history(path)
-    if len(records) < 2:
-        raise ValueError(
-            f"{path} holds {len(records)} record(s); "
-            "need at least two to compare"
-        )
-    old, new = records[-2], records[-1]
-    rows: list[dict[str, Any]] = []
-    for key in sorted(set(old) & set(new)):
-        if not key.endswith("_per_sec"):
-            continue
-        before, after = old[key], new[key]
-        if not isinstance(before, (int, float)) or not isinstance(after, (int, float)):
-            continue
-        if before <= 0:
-            continue
-        delta = (after - before) / before
-        rows.append({
-            "metric": key,
-            "old": before,
-            "new": after,
-            "delta": delta,
-            "regressed": delta <= -threshold,
-            "improved": delta >= threshold,
-        })
-    caveats = []
-    for field in ("engine", "batch_window", "hostname", "cpu_count", "python"):
-        if old.get(field) != new.get(field):
-            caveats.append(
-                f"{field} changed: {old.get(field)!r} -> {new.get(field)!r}"
-            )
-    return {
-        "old_commit": old.get("git_commit"),
-        "new_commit": new.get("git_commit"),
-        "threshold": threshold,
-        "rows": rows,
-        "regressions": [row for row in rows if row["regressed"]],
-        "improvements": [row for row in rows if row["improved"]],
-        "caveats": caveats,
-    }
-
-
-def write_baseline(
-    path: str = DEFAULT_OUTPUT,
-    payload: Optional[dict[str, Any]] = None,
-    history_path: Optional[str] = DEFAULT_HISTORY,
-    **bench_kwargs: Any,
-) -> dict[str, Any]:
-    """Run the hot-path bench (unless *payload* is given) and write it.
-
-    The snapshot lands in *path*; a compact record is appended to
-    *history_path* (pass ``None`` to skip the trajectory).
-    """
-    if payload is None:
-        payload = run_hotpath_bench(**bench_kwargs)
-    for field, value in machine_stamp().items():
-        payload.setdefault(field, value)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    if history_path:
-        append_history(payload, history_path)
-    return payload

@@ -70,15 +70,25 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
                         help="HDLC timeout margin t_out - R")
 
 
-def _scenario_from_args(args: argparse.Namespace) -> LinkScenario:
-    scenario = preset(args.preset)
-    overrides = {}
-    for field in ("bit_rate", "distance_km", "iframe_ber", "cframe_ber",
-                  "checkpoint_interval", "cumulation_depth", "window_size", "alpha"):
-        value = getattr(args, field)
-        if value is not None:
-            overrides[field] = value
+_LINK_FLAGS = ("bit_rate", "distance_km", "iframe_ber", "cframe_ber",
+               "checkpoint_interval", "cumulation_depth", "window_size", "alpha")
+
+
+def _link_overrides(args: argparse.Namespace) -> dict:
+    """The link flags given on the command line, as scenario fields."""
+    return {field: getattr(args, field) for field in _LINK_FLAGS
+            if getattr(args, field) is not None}
+
+
+def _with_link_flags(scenario: LinkScenario,
+                     args: argparse.Namespace) -> LinkScenario:
+    """*scenario* with every given link flag applied on top."""
+    overrides = _link_overrides(args)
     return scenario.with_(**overrides) if overrides else scenario
+
+
+def _scenario_from_args(args: argparse.Namespace) -> LinkScenario:
+    return _with_link_flags(preset(args.preset), args)
 
 
 # -- shared parent parsers --------------------------------------------------
@@ -310,9 +320,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             scenario = _apply_error_model_arg(_scenario_from_args(args), args)
             if scenario is None:
                 return 2
-            master_seed = (args.master_seed if args.master_seed is not None
-                           else args.seed)
-            seeds = replication_seeds(master_seed, args.seeds)
+            seeds = replication_seeds(args.seed, args.seeds)
             rows = []
             for protocol in args.protocols:
                 if plan is not None:
@@ -357,7 +365,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print(render_table(
                 rows,
                 title=f"replicated sweep over preset '{scenario.name}' "
-                      f"({args.seeds} seeds, master {master_seed})",
+                      f"({args.seeds} seeds, master {args.seed})",
             ))
     finally:
         if pool is not None:
@@ -386,18 +394,17 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         if args.action == "info":
             info = cache.info()
             print(f"cache {cache.root}: {info['entries']} entries in "
-                  f"{info['shards']} shard(s), {info['v1_files']} legacy "
-                  f"v1 file(s)")
+                  f"{info['shards']} shard(s)")
             return 0
         if args.action == "clear":
             removed = cache.clear()
             print(f"cache {cache.root}: removed {removed} entries")
             return 0
-        # migrate: absorb v1 per-point files and compact shards.
+        # migrate: compact every shard into one.
         report = cache.migrate()
         print(f"cache {cache.root}: {report['entries']} entries in one "
-              f"compacted shard ({report['v1_absorbed']} v1 files absorbed, "
-              f"{report['shards_compacted']} old shards compacted)")
+              f"compacted shard ({report['shards_compacted']} old shards "
+              f"compacted)")
     return 0
 
 
@@ -556,14 +563,14 @@ def _parse_hostport(value: str, default_port: int = 47901) -> tuple[str, int]:
 
 
 def _transport_scenario(args: argparse.Namespace) -> Optional[LinkScenario]:
-    """The scenario a transport command runs: golden or preset-derived."""
+    """The scenario a transport command runs: golden or preset, plus flags."""
     if getattr(args, "golden", None) is not None:
         from .transport.conformance import golden_scenario
 
-        scenario = golden_scenario(args.golden)
+        base = golden_scenario(args.golden)
     else:
-        scenario = _scenario_from_args(args)
-    return _apply_error_model_arg(scenario, args)
+        base = preset(args.preset)
+    return _apply_error_model_arg(_with_link_flags(base, args), args)
 
 
 def _cmd_transmit(args: argparse.Namespace) -> int:
@@ -579,9 +586,14 @@ def _cmd_transmit(args: argparse.Namespace) -> int:
         return 2
 
     if args.conform:
-        if plan is not None or args.error_model is not None:
-            print("error: --conform runs the fixed golden scenarios; drop "
-                  "--fault-plan/--error-model", file=sys.stderr)
+        flags = ["--" + field.replace("_", "-") for field in _link_overrides(args)]
+        if plan is not None:
+            flags.append("--fault-plan")
+        if args.error_model is not None:
+            flags.append("--error-model")
+        if flags:
+            print(f"error: --conform runs the fixed golden scenarios; drop "
+                  f"{' '.join(flags)}", file=sys.stderr)
             return 2
         from .transport.conformance import run_conformance
 
@@ -679,136 +691,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"digest {report.digest[:16]}..., {report.elapsed:.1f}s "
           f"[{report.reason}]")
     return 130 if report.reason == "interrupted" else 0
-
-
-def _cmd_bench_baseline(args: argparse.Namespace) -> int:
-    from .benchmark import (
-        compare_last_two,
-        profile_hotpath_bench,
-        run_hotpath_bench,
-        write_baseline,
-    )
-
-    if args.compare:
-        try:
-            comparison = compare_last_two(args.history,
-                                          threshold=args.compare_threshold)
-        except (OSError, ValueError) as error:
-            print(f"bench-compare: {error}", file=sys.stderr)
-            return 2 if args.strict else 0
-        old = (comparison["old_commit"] or "unknown")[:12]
-        new = (comparison["new_commit"] or "unknown")[:12]
-        print(f"bench-compare: {old} -> {new} "
-              f"(threshold {comparison['threshold']:.0%})")
-        for caveat in comparison["caveats"]:
-            print(f"  note: {caveat}")
-        for row in comparison["rows"]:
-            marker = ("REGRESSED" if row["regressed"]
-                      else "improved" if row["improved"] else "ok")
-            print(f"  {row['metric']:<42} {row['old']:>14,.1f} -> "
-                  f"{row['new']:>14,.1f}  {row['delta']:+7.1%}  {marker}")
-        regressions = comparison["regressions"]
-        if regressions:
-            print(f"bench-compare: {len(regressions)} metric(s) regressed "
-                  f">= {comparison['threshold']:.0%}", file=sys.stderr)
-            return 1 if args.strict else 0
-        print("bench-compare: no regressions")
-        return 0
-
-    if args.repeats < 1:
-        print("error: --repeats must be >= 1", file=sys.stderr)
-        return 2
-    if args.duration <= 0:
-        print("error: --duration must be positive", file=sys.stderr)
-        return 2
-
-    if args.profile:
-        try:
-            reports = profile_hotpath_bench(
-                top_n=args.profile_top,
-                micro_events=args.micro_events,
-                duration=args.duration,
-                scenario=args.scenario,
-                protocol=args.protocol,
-                seed=args.seed,
-                sweep_seeds=args.sweep_seeds,
-                sweep_duration=args.sweep_duration,
-                include_sweep_scale=not args.skip_sweep_scale,
-                constellation_links=tuple(args.constellation_links)[:2],
-                constellation_duration=args.constellation_duration,
-                include_constellation_scale=not args.skip_constellation_scale,
-            )
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        for kind, report in reports.items():
-            print(f"===== profile: {kind} (top {args.profile_top} "
-                  f"by cumulative time) =====")
-            print(report)
-        print("profiled run: no baseline written "
-              "(instrumentation overhead invalidates the numbers)")
-        return 0
-
-    try:
-        payload = run_hotpath_bench(
-            repeats=args.repeats,
-            micro_events=args.micro_events,
-            duration=args.duration,
-            scenario=args.scenario,
-            protocol=args.protocol,
-            seed=args.seed,
-            sweep_seeds=args.sweep_seeds,
-            sweep_duration=args.sweep_duration,
-            include_sweep_scale=not args.skip_sweep_scale,
-            constellation_links=tuple(args.constellation_links),
-            constellation_duration=args.constellation_duration,
-            include_constellation_scale=not args.skip_constellation_scale,
-            force_parallel=args.force_parallel,
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    history = None if args.no_history else args.history
-    write_baseline(args.output, payload=payload, history_path=history)
-    micro = payload["engine_dispatch"]
-    meso = payload["saturated_throughput"]
-    print(f"engine={payload.get('engine')} "
-          f"batch_window={payload.get('batch_window')}")
-    print(f"engine dispatch : {micro['events_per_sec']:,.0f} events/sec "
-          f"(p50 {micro['per_event_p50_us']:.3f}us, "
-          f"p95 {micro['per_event_p95_us']:.3f}us per event)")
-    print(f"saturated (E6)  : {meso['events_per_sec']:,.0f} events/sec, "
-          f"{meso['frames_per_sec']:,.0f} frames/sec, "
-          f"{meso['delivered']:,} delivered")
-    sweep = payload.get("sweep_scale")
-    if sweep:
-        serial = sweep["serial"]
-        line = f"sweep (E23)     : {serial['points_per_sec']:,.1f} points/sec serial"
-        for run in sweep["parallel"]:
-            line += f", {run['points_per_sec']:,.1f} @ jobs={run['jobs']}"
-        hot = sweep.get("cache_hot")
-        if hot:
-            line += (f"; cache-hot re-run {hot['wall_seconds'] * 1e3:,.1f} ms "
-                     f"({hot['points_per_sec']:,.0f} points/sec)")
-        print(line)
-        skipped = sweep.get("parallel_skipped")
-        if skipped:
-            print(f"sweep (E23)     : parallel cells skipped ({skipped}; "
-                  "--force-parallel overrides)")
-    constellation = payload.get("constellation_scale")
-    if constellation:
-        for scale in constellation["scales"]:
-            print(f"constellation   : {scale['links']:>4} links -> "
-                  f"{scale['events_per_sec']:,.0f} events/sec, "
-                  f"peak heap {scale['peak_heap']:,}, "
-                  f"peak buffered/link {scale['peak_buffered_per_link']:,} "
-                  f"(build {scale['build_wall_seconds'] * 1e3:,.1f} ms)")
-    commit = payload.get("git_commit")
-    print(f"baseline written to {args.output} "
-          f"(commit {commit[:12] if commit else 'unknown'}, "
-          f"host {payload.get('hostname')}, cpus {payload.get('cpu_count')}"
-          f"{'' if history is None else ', history ' + history})")
-    return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -1032,9 +914,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument("--seeds", type=int, default=8,
                               help="replications per protocol")
-    sweep_parser.add_argument("--master-seed", type=int, default=None,
-                              help="deprecated alias of --seed (the master "
-                                   "seed replication seeds derive from)")
     sweep_parser.add_argument("--duration", type=float, default=1.0,
                               help="simulated seconds per replication")
     sweep_parser.add_argument("--metrics", nargs="*", default=["efficiency"],
@@ -1050,7 +929,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache_parser.add_argument("action", choices=("info", "migrate", "clear"),
                               help="info: show entry/shard counts; migrate: "
-                                   "absorb v1 files and compact shards; "
+                                   "compact shards into one; "
                                    "clear: delete every cached result")
     cache_parser.add_argument("--cache-dir", default=".sweep-cache",
                               help="cache directory to operate on")
@@ -1129,7 +1008,8 @@ def build_parser() -> argparse.ArgumentParser:
     transmit_parser.add_argument(
         "--golden", choices=("clean", "lossy"), default=None,
         help="use a golden conformance scenario instead of --preset "
-             "(real-time-friendly rates; see docs/TRANSPORT.md)",
+             "(real-time-friendly rates; see docs/TRANSPORT.md); link "
+             "flags such as --bit-rate apply on top",
     )
     transmit_parser.add_argument("--frames", type=int, default=48,
                                  help="payloads to transfer")
@@ -1148,7 +1028,8 @@ def build_parser() -> argparse.ArgumentParser:
     transmit_parser.add_argument("--conform", action="store_true",
                                  help="run the golden scenarios on both "
                                       "backends and compare digests and "
-                                      "monitor verdicts")
+                                      "monitor verdicts (takes no link "
+                                      "flags)")
     transmit_parser.add_argument("--no-invariants", action="store_true",
                                  help="skip the invariant monitor suite "
                                       "(loopback mode)")
@@ -1163,7 +1044,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_arguments(serve_parser)
     serve_parser.add_argument(
         "--golden", choices=("clean", "lossy"), default=None,
-        help="use a golden conformance scenario instead of --preset",
+        help="use a golden conformance scenario instead of --preset; "
+             "link flags such as --bit-rate apply on top",
     )
     serve_parser.add_argument("--bind", default="127.0.0.1:47901",
                               metavar="HOST:PORT",
@@ -1172,68 +1054,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--duration", type=float, default=30.0,
                               help="seconds to serve before reporting")
     serve_parser.set_defaults(handler=_cmd_serve)
-
-    bench_parser = subparsers.add_parser(
-        "bench-baseline",
-        help="measure hot-path performance and write BENCH_hotpath.json",
-    )
-    bench_parser.add_argument("--output", default="BENCH_hotpath.json",
-                              help="baseline file to write")
-    bench_parser.add_argument("--repeats", type=int, default=3,
-                              help="repeat count (best-of is reported)")
-    bench_parser.add_argument("--micro-events", type=int, default=200_000,
-                              help="events for the dispatch micro-benchmark")
-    bench_parser.add_argument("--duration", type=float, default=2.0,
-                              help="simulated seconds for the saturated run")
-    bench_parser.add_argument("--scenario", default="nominal",
-                              help="link scenario preset")
-    bench_parser.add_argument("--protocol", default="lams",
-                              help="protocol under test")
-    bench_parser.add_argument("--seed", type=int, default=1,
-                              help="simulation seed")
-    bench_parser.add_argument("--history", default="BENCH_history.jsonl",
-                              help="JSONL trajectory file to append to")
-    bench_parser.add_argument("--no-history", action="store_true",
-                              help="skip appending to the history trajectory")
-    bench_parser.add_argument("--sweep-seeds", type=int, default=16,
-                              help="replication points for the sweep-scale "
-                                   "section")
-    bench_parser.add_argument("--sweep-duration", type=float, default=0.05,
-                              help="simulated seconds per sweep-scale point")
-    bench_parser.add_argument("--constellation-links", type=int, nargs="+",
-                              default=[10, 100, 1000], metavar="N",
-                              help="ring sizes for the constellation-scale "
-                                   "benchmark")
-    bench_parser.add_argument("--constellation-duration", type=float,
-                              default=0.2,
-                              help="simulated seconds per constellation scale")
-    bench_parser.add_argument("--skip-constellation-scale",
-                              action="store_true",
-                              help="skip the constellation-scale benchmark")
-    bench_parser.add_argument("--skip-sweep-scale", action="store_true",
-                              help="omit the sweep_scale section")
-    bench_parser.add_argument("--force-parallel", action="store_true",
-                              help="run parallel sweep cells even on a "
-                                   "single-core host (skewed: they measure "
-                                   "pool oversubscription, not speedup)")
-    bench_parser.add_argument("--profile", action="store_true",
-                              help="run each bench kind under cProfile and "
-                                   "print hot functions instead of writing a "
-                                   "baseline")
-    bench_parser.add_argument("--profile-top", type=int, default=25,
-                              metavar="N",
-                              help="rows per profile report (with --profile)")
-    bench_parser.add_argument("--compare", action="store_true",
-                              help="diff the last two history records "
-                                   "instead of benchmarking")
-    bench_parser.add_argument("--compare-threshold", type=float, default=0.10,
-                              metavar="FRAC",
-                              help="relative slowdown that counts as a "
-                                   "regression (with --compare)")
-    bench_parser.add_argument("--strict", action="store_true",
-                              help="exit nonzero when --compare finds "
-                                   "regressions")
-    bench_parser.set_defaults(handler=_cmd_bench_baseline)
 
     report_parser = subparsers.add_parser(
         "report", help="regenerate the full evaluation report"

@@ -22,8 +22,8 @@ code_version)``: append-only JSON-lines shard files with an in-memory
 index, so a fully warm 1000-point re-run costs one sequential index
 read instead of 1000 file opens.  JSON floats round-trip exactly
 (shortest-repr encoding), so cached summaries are byte-identical to
-freshly computed ones.  Legacy one-file-per-point (v1) caches are read
-transparently; ``python -m repro cache migrate`` upgrades in place.
+freshly computed ones.  ``python -m repro cache migrate`` compacts the
+shards into one.
 
 **Observability.**  :func:`run_sweep` reports per-worker progress and
 timing through :mod:`repro.simulator.trace`-style counters and sample
@@ -334,15 +334,9 @@ class ResultCache:
     torn final line is detected and skipped on the next open, never
     served as data.
 
-    **Migration.**  Legacy v1 caches (one ``<digest>.json`` file per
-    point) are read transparently as a fallback; :meth:`migrate`
-    (``python -m repro cache migrate``) absorbs them — and compacts all
-    existing shards — into a single fresh shard.
+    **Compaction.**  :meth:`migrate` (``python -m repro cache migrate``)
+    rewrites every live entry into a single fresh shard.
     """
-
-    #: Orphaned v1 ``*.json.tmp.*`` files older than this are removed on
-    #: open (left behind by killed pre-v2 writers).
-    STALE_TMP_SECONDS = 3600.0
 
     #: Default number of puts between fsyncs.
     FSYNC_INTERVAL = 64
@@ -355,7 +349,6 @@ class ResultCache:
         self.code_version = code_version
         self.fsync_interval = max(1, int(fsync_interval))
         os.makedirs(self.root, exist_ok=True)
-        self.stale_tmp_removed = self._sweep_stale_tmp()
         self.hits = 0
         self.misses = 0
         #: digest -> (shard path, byte offset, line length)
@@ -368,23 +361,6 @@ class ResultCache:
         self._load_shards()
 
     # -- maintenance -----------------------------------------------------
-
-    def _sweep_stale_tmp(self) -> int:
-        """Delete old orphaned v1 temp files; returns how many went."""
-        cutoff = time.time() - self.STALE_TMP_SECONDS
-        removed = 0
-        for name in os.listdir(self.root):
-            if ".json.tmp." not in name:
-                continue
-            path = os.path.join(self.root, name)
-            try:
-                if os.path.getmtime(path) < cutoff:
-                    os.unlink(path)
-                    removed += 1
-            except OSError:
-                # Raced with another opener or a finishing writer.
-                continue
-        return removed
 
     def _shard_paths(self) -> list[str]:
         paths = [
@@ -436,29 +412,17 @@ class ResultCache:
             self._canonical(point.cache_key()).encode("utf-8")
         ).hexdigest()
 
-    def path_for(self, point: Any) -> str:
-        """The legacy (v1) one-file-per-point path for *point*.
-
-        Still the cache's stable key identity: two points share a
-        ``path_for`` iff they share a canonical cache key.  v2 stores
-        results in shards, but reads this path as a migration fallback.
-        """
-        return os.path.join(self.root, f"{self.digest_for(point)}.json")
-
     # -- access ----------------------------------------------------------
 
     def contains(self, point: Any) -> bool:
         """Whether *point* is (probably) cached — no read, no stats.
 
-        An index membership test (plus a v1-file existence check), used
-        by the sweep engine to partition points before dispatch.  A
+        An index membership test, used by the sweep engine to partition points before dispatch.  A
         ``True`` here can still turn into a :meth:`get` miss if the
         entry is torn or its stored key mismatches; callers must handle
         that by recomputing.
         """
-        return self.digest_for(point) in self._index or os.path.exists(
-            self.path_for(point)
-        )
+        return self.digest_for(point) in self._index
 
     def _read_entry(self, entry: tuple[str, int, int]) -> Optional[dict]:
         path, offset, length = entry
@@ -491,18 +455,8 @@ class ResultCache:
             if stored is not None and stored.get("key") == key:
                 self.hits += 1
                 return stored["result"]
-        # v1 fallback: one JSON file per point at the legacy path.
-        try:
-            with open(self.path_for(point), "r", encoding="utf-8") as handle:
-                stored = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            self.misses += 1
-            return None
-        if stored.get("key") != key:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return stored["result"]
+        self.misses += 1
+        return None
 
     def put(self, point: Any, result: Any) -> None:
         """Store *result* for *point* (appended to this cache's shard)."""
@@ -579,24 +533,14 @@ class ResultCache:
 
     # -- bulk operations -------------------------------------------------
 
-    def _v1_paths(self) -> list[str]:
-        out = []
-        for name in os.listdir(self.root):
-            if name.endswith(".json") and len(name) == 69:  # 64 hex + ".json"
-                out.append(os.path.join(self.root, name))
-        return out
-
     def __len__(self) -> int:
-        digests = set(self._index)
-        for path in self._v1_paths():
-            digests.add(os.path.basename(path)[:-5])
-        return len(digests)
+        return len(self._index)
 
     def clear(self) -> int:
         """Delete every entry; returns how many distinct keys went."""
         removed = len(self)
         self.close()
-        for path in self._shard_paths() + self._v1_paths():
+        for path in self._shard_paths():
             try:
                 os.unlink(path)
             except OSError:
@@ -605,14 +549,12 @@ class ResultCache:
         return removed
 
     def migrate(self) -> dict[str, int]:
-        """Upgrade in place: absorb v1 files, compact shards into one.
+        """Compact every shard into one, in place.
 
-        Every live entry — v2 shard lines (index-reachable only, so
-        superseded duplicates drop out) plus v1 per-point files — is
-        rewritten into a single fresh shard; the old shards and v1
-        files are then deleted.  Returns counts for reporting.
+        Every live entry (index-reachable only, so superseded duplicates
+        drop out) is rewritten into a single fresh shard; the old shards
+        are then deleted.  Returns counts for reporting.
         """
-        v1_absorbed = 0
         lines: dict[str, bytes] = {}
         for digest, entry in list(self._index.items()):
             stored = self._read_entry(entry)
@@ -620,21 +562,7 @@ class ResultCache:
                 lines[digest] = (
                     digest + "\t" + json.dumps(stored) + "\n"
                 ).encode("utf-8")
-        for path in self._v1_paths():
-            digest = os.path.basename(path)[:-5]
-            if digest in lines:
-                continue
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    stored = json.load(handle)
-            except (OSError, json.JSONDecodeError):
-                continue
-            lines[digest] = (
-                digest + "\t" + json.dumps(stored) + "\n"
-            ).encode("utf-8")
-            v1_absorbed += 1
         old_shards = self._shard_paths()
-        old_v1 = self._v1_paths()
         self.close()
         writer = self._open_writer()
         new_index: dict[str, tuple[str, int, int]] = {}
@@ -646,7 +574,7 @@ class ResultCache:
         writer.flush()
         os.fsync(writer.fileno())
         self._writer_offset = offset
-        for path in old_shards + old_v1:
+        for path in old_shards:
             try:
                 os.unlink(path)
             except OSError:
@@ -654,16 +582,14 @@ class ResultCache:
         self._index = new_index
         return {
             "entries": len(new_index),
-            "v1_absorbed": v1_absorbed,
             "shards_compacted": len(old_shards),
         }
 
     def info(self) -> dict[str, int]:
-        """Shape of the on-disk cache (entries, shards, legacy files)."""
+        """Shape of the on-disk cache (entries and shards)."""
         return {
             "entries": len(self),
             "shards": len(self._shard_paths()),
-            "v1_files": len(self._v1_paths()),
         }
 
 

@@ -1,7 +1,7 @@
 """UDP channels and links that duck-type the DES link layer.
 
 The registered LAMS pair factory
-(:func:`repro.core.protocol._make_lams_pair`) only touches a link
+(:func:`repro.core.protocol._make_lams_endpoints`) only touches a link
 through ``link.forward`` / ``link.reverse`` / ``link.attach`` /
 ``link.round_trip_time`` / ``link.name``, and the sender half only
 touches a channel through ``bit_rate``, ``send``, ``on_idle``,

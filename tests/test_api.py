@@ -1,8 +1,8 @@
 """Tests for the `repro.api` facade and the endpoint-pair registry.
 
 One factory — :func:`repro.api.make_endpoint_pair` — must build every
-executable protocol, aliases and overrides included, and the legacy
-per-protocol pair factories must be behaviour-identical shims over it.
+executable protocol, aliases and overrides included, and behave
+exactly like the registered per-family factory it dispatches to.
 """
 
 from __future__ import annotations
@@ -12,11 +12,8 @@ import pytest
 from repro import api
 from repro.core.config import LamsDlcConfig
 from repro.core.endpoint import build_endpoint_pair, pair_factory
-from repro.core.protocol import lams_dlc_pair
 from repro.hdlc.config import HdlcConfig
-from repro.hdlc.protocol import hdlc_pair
 from repro.nbdt.config import NbdtConfig
-from repro.nbdt.protocol import nbdt_pair
 from repro.simulator.engine import Simulator
 from repro.simulator.trace import Tracer
 from repro.workloads import build_simulation, preset
@@ -124,8 +121,8 @@ class TestMakeEndpointPair:
             registry._ALIASES.pop("test-fake-proto", None)
 
 
-class TestShimEquivalence:
-    """The legacy factories defer to the registry and behave identically."""
+class TestRegistryEquivalence:
+    """The facade's spec path matches the registered factory it wraps."""
 
     def _run(self, build_pair, config_cls):
         scenario = preset("short_hop")
@@ -145,21 +142,21 @@ class TestShimEquivalence:
         sim.run(until=5.0)
         return delivered
 
-    @pytest.mark.parametrize("shim,unified,config_cls", [
-        (lams_dlc_pair, "lams", LamsDlcConfig),
-        (hdlc_pair, "hdlc", HdlcConfig),
-        (nbdt_pair, "nbdt", NbdtConfig),
+    @pytest.mark.parametrize("family,config_cls", [
+        ("lams", LamsDlcConfig),
+        ("hdlc", HdlcConfig),
+        ("nbdt", NbdtConfig),
     ])
-    def test_shim_matches_unified(self, shim, unified, config_cls):
-        via_shim = self._run(shim, config_cls)
+    def test_factory_matches_facade(self, family, config_cls):
+        via_factory = self._run(pair_factory(family), config_cls)
         via_api = self._run(
             lambda sim, link, config, **kw: api.make_endpoint_pair(
-                unified, sim, link, config, **kw
+                family, sim, link, config, **kw
             ),
             config_cls,
         )
-        assert via_shim == via_api
-        assert len(via_shim) == 30
+        assert via_factory == via_api
+        assert len(via_factory) == 30
 
 
 class TestBuildSimulation:
@@ -440,29 +437,8 @@ class TestBackendRegistry:
 
 
 class TestDeprecatedShims:
-    """The per-protocol pair factories warn but keep working."""
-
-    def test_lams_dlc_pair_warns(self):
-        scenario = preset("short_hop")
-        sim = Simulator()
-        link = scenario.build_link(sim, seed=0)
-        with pytest.warns(DeprecationWarning, match="lams_dlc_pair"):
-            a, b = lams_dlc_pair(sim, link, scenario.lams_config())
-        assert a is not None and b is not None
-
-    def test_hdlc_pair_warns(self):
-        scenario = preset("short_hop")
-        sim = Simulator()
-        link = scenario.build_link(sim, seed=0)
-        with pytest.warns(DeprecationWarning, match="hdlc_pair"):
-            hdlc_pair(sim, link, HdlcConfig())
-
-    def test_nbdt_pair_warns(self):
-        scenario = preset("short_hop")
-        sim = Simulator()
-        link = scenario.build_link(sim, seed=0)
-        with pytest.warns(DeprecationWarning, match="nbdt_pair"):
-            nbdt_pair(sim, link, NbdtConfig())
+    """The per-protocol shims are gone; the facade that replaced them
+    must not warn."""
 
     def test_facade_path_stays_silent(self):
         import warnings as _warnings

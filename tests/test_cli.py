@@ -157,12 +157,6 @@ class TestSharedParents:
             [command, "--fault-plan", "plan.json"])
         assert args.fault_plan == "plan.json"
 
-    def test_sweep_master_seed_is_deprecated_alias(self):
-        args = build_parser().parse_args(["sweep"])
-        assert args.master_seed is None  # unset -> --seed wins
-        args = build_parser().parse_args(["sweep", "--master-seed", "9"])
-        assert args.master_seed == 9
-
     def test_rejects_unknown_error_model(self, capsys):
         assert main(["simulate", "--error-model", "psychic",
                      "--duration", "0.1"]) == 2
@@ -199,3 +193,40 @@ class TestTransportCommands:
         assert "delivered 8/8" in out
         assert "digest match" in out
         assert "all invariants held" in out
+
+    @staticmethod
+    def _record_scenarios(monkeypatch, name):
+        """Wrap ``repro.transport.session.<name>`` to record its scenario."""
+        from repro.transport import session
+
+        seen = []
+        real = getattr(session, name)
+
+        def recording(scenario, *args, **kwargs):
+            seen.append(scenario)
+            return real(scenario, *args, **kwargs)
+
+        monkeypatch.setattr(session, name, recording)
+        return seen
+
+    def test_transmit_golden_applies_link_flags(self, monkeypatch, capsys):
+        seen = self._record_scenarios(monkeypatch, "run_transfer")
+        assert main(["transmit", "--golden", "clean", "--bit-rate", "1e6",
+                     "--frames", "8"]) == 0
+        (scenario,) = seen
+        assert scenario.name == "golden-clean"
+        assert scenario.bit_rate == 1e6
+        assert "delivered 8/8" in capsys.readouterr().out
+
+    def test_serve_golden_applies_link_flags(self, monkeypatch, capsys):
+        seen = self._record_scenarios(monkeypatch, "run_serve")
+        assert main(["serve", "--golden", "lossy", "--distance-km", "100",
+                     "--duration", "0.1", "--bind", "127.0.0.1:0"]) == 0
+        (scenario,) = seen
+        assert scenario.name == "golden-lossy"
+        assert scenario.distance_km == 100.0
+        assert scenario.bit_rate == 2e6  # untouched fields keep the golden value
+
+    def test_conform_rejects_link_flags(self, capsys):
+        assert main(["transmit", "--conform", "--bit-rate", "1e6"]) == 2
+        assert "--bit-rate" in capsys.readouterr().err

@@ -153,6 +153,64 @@ class TestScheduling:
         sim.schedule(2.5, lambda: None)
         assert sim.peek() == 2.5
 
+    def test_integer_schedule_at_times(self):
+        sim = Simulator()
+        log = []
+        sim.schedule_at(2, log.append, "int")
+        sim.schedule(1.5, log.append, "float")
+        sim.schedule_at(3, log.append, "later-int")
+        sim.schedule(2.0, log.append, "tie")  # same instant as the int 2
+        sim.run()
+        assert log == ["float", "int", "tie", "later-int"]
+        assert sim.now == 3
+        assert sim.event_count == 4
+
+    def test_until_stop_resume_return_values(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, seen.append, "a")
+        sim.schedule_at(2, seen.append, "b")
+        sim.schedule(3.0, sim.stop)
+        sim.schedule(4.0, seen.append, "after-stop")
+        assert sim.run(until=1.5) == 1.5
+        assert (seen, sim.now, sim.event_count) == (["a"], 1.5, 1)
+        assert sim.run() == 3.0  # halted by stop() after its callback
+        assert (seen, sim.event_count, sim.peek()) == (["a", "b"], 3, 4.0)
+        assert sim.run() == 4.0  # a resumed run drains the rest
+        assert (seen, sim.event_count) == (["a", "b", "after-stop"], 4)
+
+    def test_max_events_leaves_state_consistent(self):
+        sim = Simulator()
+        for index in range(10):
+            sim.schedule(index * 0.1, lambda: None)
+        with pytest.raises(SimulationError, match="max_events=5"):
+            sim.run(max_events=5)
+        assert sim.event_count == 5
+        assert sim.now == pytest.approx(0.4)
+        assert len(sim._heap) == 5
+
+    def test_raising_callback_leaves_state_consistent(self):
+        class Boom(Exception):
+            pass
+
+        def bang():
+            raise Boom("bang")
+
+        sim = Simulator()
+        fired = []
+        sim.schedule(0.5, fired.append, "before")
+        sim.schedule(1.0, bang)
+        sim.schedule(1.5, fired.append, "after")
+        with pytest.raises(Boom):
+            sim.run()
+        # The raising event is not counted; the clock stands at it and
+        # the remaining entry is still pending.
+        assert (sim.event_count, sim.now, len(sim._heap)) == (1, 1.0, 1)
+        assert sim.peek() == 1.5
+        assert sim.run() == 1.5
+        assert fired == ["before", "after"]
+        assert sim.event_count == 2
+
 
 class TestEvents:
     def test_succeed_delivers_value(self, sim):

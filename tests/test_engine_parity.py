@@ -1,21 +1,11 @@
-"""Differential harness for the engine backends and the batched path.
+"""Differential harness for the batched send path.
 
-Three oracles, each asserting bit-identity where the design promises it:
-
-1. **pure vs compiled** — the C dispatch loop (``_speedups.run_loop``)
-   against the Python loop, on golden end-to-end scenarios: identical
-   tracer summaries, delivered payloads, and event counts.  Skipped
-   (loudly, not silently green) when the extension is not built.
-2. **heap vs timer wheel** — the calendar-queue scheduler against the
-   single heap: the merged dispatch must preserve the global
-   ``(time, sequence)`` order exactly, so runs are identical.
-3. **batched vs scalar sends** — ``batch_window`` pre-draws window
-   verdicts through ``draw_window``; with the link up and no
-   retransmissions the pre-drawn run must equal the scalar run draw
-   for draw.  (Under mid-burst outages the batched path re-scalarizes
-   the tail — outcomes may legitimately differ there, so that case is
-   held to protocol invariants instead: every payload delivered
-   exactly once, in order.)
+``batch_window`` pre-draws window verdicts through ``draw_window``; with
+the link up and no retransmissions the pre-drawn run must equal the
+scalar run draw for draw.  (Under mid-burst outages the batched path
+re-scalarizes the tail — outcomes may legitimately differ there, so
+that case is held to protocol invariants instead: every payload
+delivered exactly once, in order.)
 """
 
 from __future__ import annotations
@@ -25,22 +15,8 @@ import hashlib
 import pytest
 
 from repro.faults.plan import FaultPlan, LinkOutage
-from repro.simulator import engine
-from repro.simulator.engine import (
-    COMPILED_AVAILABLE,
-    SimulationError,
-    Simulator,
-    TimerWheel,
-    engine_backend,
-    use_backend,
-)
 from repro.workloads.generators import FiniteBatch, SaturatedSource
 from repro.workloads.scenarios import PRESETS, build_simulation
-
-needs_compiled = pytest.mark.skipif(
-    not COMPILED_AVAILABLE,
-    reason="compiled engine core not built (python setup.py build_ext --inplace)",
-)
 
 
 def _fingerprint(setup) -> tuple:
@@ -57,166 +33,12 @@ def _fingerprint(setup) -> tuple:
 
 
 def _run_golden(preset_name: str, *, seed: int = 3, until: float = 5.0,
-                count: int = 400, overrides: dict | None = None,
-                saturated: bool = False):
+                count: int = 400, overrides: dict | None = None):
     setup = build_simulation(PRESETS[preset_name], "lams", seed=seed,
                              overrides=overrides)
-    if saturated:
-        sender = setup.endpoint_a.sender
-        SaturatedSource(
-            setup.sim, setup.endpoint_a,
-            backlog_fn=lambda: sender.pending_count,
-        ).start()
-    else:
-        FiniteBatch(setup.sim, setup.endpoint_a, count=count).start()
+    FiniteBatch(setup.sim, setup.endpoint_a, count=count).start()
     setup.sim.run(until=until)
     return _fingerprint(setup)
-
-
-# -- 1. pure vs compiled ---------------------------------------------------
-
-
-class TestCompiledBackendParity:
-    @needs_compiled
-    @pytest.mark.parametrize("preset_name", sorted(PRESETS))
-    def test_golden_scenarios_identical(self, preset_name):
-        with use_backend("pure"):
-            pure = _run_golden(preset_name)
-        with use_backend("compiled"):
-            compiled = _run_golden(preset_name)
-        assert pure == compiled
-
-    @needs_compiled
-    def test_saturated_workload_identical(self):
-        with use_backend("pure"):
-            pure = _run_golden("nominal", until=0.2, saturated=True)
-        with use_backend("compiled"):
-            compiled = _run_golden("nominal", until=0.2, saturated=True)
-        assert pure == compiled
-
-    @needs_compiled
-    def test_backend_selector_reports_override(self):
-        with use_backend("pure"):
-            assert engine_backend() == "pure"
-        with use_backend("compiled"):
-            assert engine_backend() == "compiled"
-
-    @needs_compiled
-    def test_run_semantics_identical(self):
-        """until-clamp, stop(), integer times, and return values."""
-
-        def drive(backend):
-            with use_backend(backend):
-                sim = Simulator()
-                seen = []
-                sim.schedule(1.0, seen.append, "a")
-                # Integer absolute time exercises the comparison
-                # fallback in the compiled heap (non-float entry).
-                sim.schedule_at(2, seen.append, "b")
-                sim.schedule(3.0, sim.stop)
-                sim.schedule(4.0, seen.append, "never")
-                first = sim.run(until=1.5)
-                second = sim.run()
-                return seen, first, second, sim.now, sim.event_count
-
-        assert drive("pure") == drive("compiled")
-
-    @needs_compiled
-    def test_max_events_raises_identically(self):
-        def drive(backend):
-            with use_backend(backend):
-                sim = Simulator()
-                for index in range(10):
-                    sim.schedule(index * 0.1, lambda: None)
-                with pytest.raises(SimulationError) as excinfo:
-                    sim.run(max_events=5)
-                return str(excinfo.value), sim.event_count, sim.now
-
-        assert drive("pure") == drive("compiled")
-
-    @needs_compiled
-    def test_callback_exception_propagates_identically(self):
-        class Boom(Exception):
-            pass
-
-        def bang():
-            raise Boom("bang")
-
-        def drive(backend):
-            with use_backend(backend):
-                sim = Simulator()
-                sim.schedule(0.5, lambda: None)
-                sim.schedule(1.0, bang)
-                sim.schedule(1.5, lambda: None)
-                with pytest.raises(Boom):
-                    sim.run()
-                return sim.event_count, sim.now, len(sim._heap)
-
-        assert drive("pure") == drive("compiled")
-
-    @needs_compiled
-    def test_timer_churn_identical(self):
-        """Stale-generation expiries and heap compaction on both loops."""
-
-        def drive(backend):
-            with use_backend(backend):
-                sim = Simulator()
-                fired = []
-                timers = [sim.timer(lambda i=i: fired.append(i))
-                          for i in range(64)]
-
-                def churn():
-                    for timer in timers:
-                        timer.restart(0.5)  # orphan the previous expiry
-
-                for round_index in range(8):
-                    sim.schedule(round_index * 0.1, churn)
-                sim.run()
-                return fired, sim.now, sim.event_count
-
-        assert drive("pure") == drive("compiled")
-
-
-# -- 2. heap vs timer wheel ------------------------------------------------
-
-
-class TestTimerWheelParity:
-    @pytest.mark.parametrize("preset_name", ["nominal", "noisy"])
-    def test_golden_scenarios_identical(self, preset_name, monkeypatch):
-        plain = _run_golden(preset_name)
-        monkeypatch.setattr(engine, "_DEFAULT_WHEEL_WIDTH", 0.001)
-        wheeled = _run_golden(preset_name)
-        assert plain == wheeled
-
-    def test_wheel_orders_globally(self):
-        import random
-
-        wheel = TimerWheel(0.01)
-        rnd = random.Random(42)
-        entries = [(rnd.random(), seq, None, ()) for seq in range(500)]
-        for entry in entries:
-            wheel.push(entry)
-        assert len(wheel) == 500
-        drained = [wheel.pop() for _ in range(500)]
-        assert drained == sorted(entries)
-        assert len(wheel) == 0
-        with pytest.raises(IndexError):
-            wheel.pop()
-
-    def test_wheel_timer_cancel_and_compact(self):
-        sim = Simulator(timer_wheel_width=0.005)
-        fired = []
-        timers = [sim.timer(lambda i=i: fired.append(i)) for i in range(100)]
-        for timer in timers:
-            timer.start(0.5)
-        for timer in timers[:90]:
-            timer.cancel()  # drives _note_stale_timer past the compact floor
-        sim.run()
-        assert fired == list(range(90, 100))
-        assert sim.now == 0.5
-
-
-# -- 3. batched vs scalar sends -------------------------------------------
 
 
 def _assert_equivalent(scalar: tuple, batched: tuple) -> None:

@@ -7,9 +7,10 @@ import pytest
 
 from repro.analysis import delay
 from repro.analysis import lams as lams_model
-from repro.core import LamsDlcConfig, lams_dlc_pair
+from repro.api import make_endpoint_pair
+from repro.core import LamsDlcConfig
 from repro.experiments.runner import measure_batch_transfer, measure_failure_recovery
-from repro.hdlc import HdlcConfig, hdlc_pair
+from repro.hdlc import HdlcConfig
 from repro.session import LinkPass, LinkSessionManager, PassSchedule
 from repro.session.factories import hdlc_session_factory, lams_session_factory
 from repro.simulator import (
@@ -60,7 +61,7 @@ class TestZeroDuplication:
             checkpoint_interval=0.005, cumulation_depth=3, zero_duplication=True
         )
         delivered = []
-        a, b = lams_dlc_pair(sim, link, config, deliver_b=delivered.append)
+        a, b = make_endpoint_pair("lams", sim, link, config, deliver_b=delivered.append)
         a.start(send=True, receive=False)
         b.start(send=False, receive=True)
         for i in range(2000):
@@ -79,7 +80,7 @@ class TestZeroDuplication:
         link = make_link(sim, seed=5, iframe_ber=0.0, cframe_ber=0.0)
         config = LamsDlcConfig(zero_duplication=True)
         delivered = []
-        a, b = lams_dlc_pair(sim, link, config, deliver_b=delivered.append)
+        a, b = make_endpoint_pair("lams", sim, link, config, deliver_b=delivered.append)
         a.start(send=True, receive=False)
         b.start(send=False, receive=True)
         for i in range(500):
@@ -95,7 +96,7 @@ class TestStutterMode:
         link = make_link(sim, seed=6, iframe_ber=0.0, cframe_ber=0.0)
         config = HdlcConfig(window_size=8, sequence_bits=7, timeout=0.06, stutter=True)
         delivered = []
-        a, b = hdlc_pair(sim, link, config, deliver_b=delivered.append)
+        a, b = make_endpoint_pair("hdlc", sim, link, config, deliver_b=delivered.append)
         a.start()
         for i in range(8):
             a.accept(("pkt", i))
@@ -121,8 +122,9 @@ class TestStutterMode:
         sim = Simulator()
         link = make_link(sim, seed=7, iframe_ber=0.0, cframe_ber=0.0)
         delivered = []
-        a, b = hdlc_pair(sim, link, HdlcConfig(window_size=8, timeout=0.06),
-                         deliver_b=delivered.append)
+        a, b = make_endpoint_pair("hdlc", sim, link,
+                                  HdlcConfig(window_size=8, timeout=0.06),
+                                  deliver_b=delivered.append)
         a.start()
         for i in range(8):
             a.accept(("pkt", i))
@@ -134,7 +136,7 @@ class TestStutterMode:
         link = make_link(sim, seed=8, iframe_ber=1e-5, cframe_ber=1e-6)
         config = HdlcConfig(window_size=16, sequence_bits=7, timeout=0.06, stutter=True)
         delivered = []
-        a, b = hdlc_pair(sim, link, config, deliver_b=delivered.append)
+        a, b = make_endpoint_pair("hdlc", sim, link, config, deliver_b=delivered.append)
         a.start()
         for i in range(300):
             a.accept(("pkt", i))

@@ -172,8 +172,8 @@ class TestResultCache:
                 dataclasses.replace(_spec(), scenario=preset("noisy")), 0
             ),
         ]
-        paths = {cache.path_for(p) for p in [base, *variants]}
-        assert len(paths) == len(variants) + 1
+        digests = {cache.digest_for(p) for p in [base, *variants]}
+        assert len(digests) == len(variants) + 1
 
     def test_stored_key_version_mismatch_is_a_miss(self, tmp_path):
         import json
@@ -241,34 +241,6 @@ class TestResultCache:
         assert reopened.get(b) is None
         assert len(reopened) == 1
 
-    def test_stale_tmp_swept_on_open(self, tmp_path):
-        import os
-
-        stale = tmp_path / "deadbeef.json.tmp.1234.0"
-        stale.write_text("{torn write}")
-        old = 1_000_000.0  # far older than any staleness horizon
-        os.utime(stale, (old, old))
-        fresh = tmp_path / "cafef00d.json.tmp.5678.0"
-        fresh.write_text("{in-flight write}")
-        cache = ResultCache(str(tmp_path))
-        assert not stale.exists()
-        assert fresh.exists()  # young enough to belong to a live writer
-        assert cache.stale_tmp_removed == 1
-
-    def test_stale_sweep_ignores_shards(self, tmp_path):
-        import os
-
-        cache = ResultCache(str(tmp_path))
-        point = MeasurePoint(_spec(), 0)
-        run_sweep([point], cache=cache)
-        cache.close()
-        old = 1_000_000.0
-        for name in os.listdir(tmp_path):
-            os.utime(os.path.join(tmp_path, name), (old, old))
-        reopened = ResultCache(str(tmp_path))
-        assert reopened.stale_tmp_removed == 0
-        assert reopened.get(point) is not None
-
     def test_writers_never_share_a_shard(self, tmp_path):
         # Two cache instances on the same root (concurrent sweeps, or a
         # parent and a worker) each append to their own O_EXCL shard;
@@ -335,7 +307,7 @@ class TestResultCache:
 
 
 class TestCacheKeyCanonicalization:
-    """path_for is the cache's key identity; it must be insensitive to
+    """digest_for is the cache's key identity; it must be insensitive to
     dict ordering and sensitive to every semantic input."""
 
     class _Point:
@@ -357,7 +329,6 @@ class TestCacheKeyCanonicalization:
              "kwargs": {"alpha": 0.2, "duration": 1.0},
              "seed": 1, "experiment_id": "E6"}
         )
-        assert cache.path_for(forward) == cache.path_for(backward)
         assert cache.digest_for(forward) == cache.digest_for(backward)
 
     def test_spec_kwargs_order_irrelevant(self, tmp_path):
@@ -366,7 +337,7 @@ class TestCacheKeyCanonicalization:
                                "lams", duration=1.0, start_time=0.0)
         b = MeasureSpec.create("measure_saturated", preset("short_hop"),
                                "lams", start_time=0.0, duration=1.0)
-        assert cache.path_for(MeasurePoint(a, 3)) == cache.path_for(
+        assert cache.digest_for(MeasurePoint(a, 3)) == cache.digest_for(
             MeasurePoint(b, 3)
         )
 
@@ -375,38 +346,9 @@ class TestCacheKeyCanonicalization:
         base = {"experiment_id": "E6", "seed": 1, "kwargs": {}}
         current = self._Point({**base, "code_version": "1.0"})
         bumped = self._Point({**base, "code_version": "2.0"})
-        assert cache.path_for(current) != cache.path_for(bumped)
+        assert cache.digest_for(current) != cache.digest_for(bumped)
         cache.put(current, {"x": 1})
         assert cache.get(bumped) is None  # never served across versions
-
-    def test_v1_entry_read_and_migrated(self, tmp_path):
-        import json
-        import os
-
-        # A pre-v2 cache: one <digest>.json file per point.
-        probe = ResultCache(str(tmp_path))
-        point = MeasurePoint(_spec(), 0)
-        v1_path = probe.path_for(point)
-        with open(v1_path, "w") as handle:
-            json.dump({"key": point.cache_key(), "result": {"eta": 0.5}},
-                      handle)
-        # Transparent read-through, no migration needed.
-        cache = ResultCache(str(tmp_path))
-        assert cache.contains(point)
-        assert cache.get(point) == {"eta": 0.5}
-        assert len(cache) == 1
-        # Migration absorbs the v1 file into a shard; the result
-        # round-trips and the legacy file is gone.
-        report = cache.migrate()
-        assert report["v1_absorbed"] == 1
-        assert report["entries"] == 1
-        assert not os.path.exists(v1_path)
-        assert cache.get(point) == {"eta": 0.5}
-        cache.close()
-        fresh = ResultCache(str(tmp_path))
-        assert fresh.get(point) == {"eta": 0.5}
-        assert fresh.info()["v1_files"] == 0
-        assert fresh.info()["shards"] == 1
 
     def test_migrate_compacts_shards(self, tmp_path):
         import os
